@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check vet race chaos fuzz fuzz-smoke fmt bench-smoke cover benchdiff benchdiff-soft bench-kernels bench-kernels-soft serve-smoke load-smoke purego
+.PHONY: build test check vet race chaos fuzz fuzz-smoke fmt bench-smoke cover benchdiff benchdiff-soft bench-kernels bench-kernels-soft serve-smoke load-smoke purego simd-levels
 
 build:
 	$(GO) build ./...
@@ -21,6 +21,15 @@ race:
 purego:
 	$(GO) build -tags purego ./...
 	$(GO) test -tags purego ./...
+
+# Scalar dispatch lane on the default build: the vector kernels are
+# compiled in but HEAP_NOSIMD forces every kernel onto the scalar loops, so
+# the scalar NTT drivers also run under the rlwe/tfhe golden and
+# zero-allocation tests, not only the ring tests. The ring tests themselves
+# sweep every level the host supports (scalar, avx2, avx512ifma) on the
+# default lane.
+simd-levels:
+	HEAP_NOSIMD=1 $(GO) test -count=1 ./internal/ring/ ./internal/rlwe/ ./internal/tfhe/
 
 # Fault-injection suite under the race detector: link cuts, stalls, corrupt
 # frames, join/leave churn, kill-mid-key-upload resume, and hedged dispatch.
@@ -71,7 +80,9 @@ benchdiff-soft:
 # generic vector MAC) and compare the two vector-level figures against the
 # committed BENCH_kernels.json. Thresholds are generous because scalar-chain
 # and microsecond-scale timings are noisy on shared hosts; `check` runs the
-# soft wrapper for the same reason benchdiff is soft there.
+# soft wrapper for the same reason benchdiff is soft there. The vector
+# columns are measured at the host's best dispatch level (the record's
+# `isa`), so compare them only between hosts at the same level.
 bench-kernels:
 	$(GO) run ./cmd/heapbench -benchjson /tmp/BENCH_kernels.json -kruns 2
 	$(GO) run ./cmd/benchdiff -metric ntt_shoup_us -max-regress 40 BENCH_kernels.json /tmp/BENCH_kernels.json
@@ -126,7 +137,7 @@ cover:
 # overload with bounded queues, hold the coverage floors, and hold the
 # committed blind-rotate, service, and load-matrix trajectories (soft: warns
 # on regression), including the modular-kernel ablation trajectory.
-check: build vet purego race chaos fuzz-smoke bench-smoke serve-smoke load-smoke cover benchdiff-soft bench-kernels-soft
+check: build vet purego simd-levels race chaos fuzz-smoke bench-smoke serve-smoke load-smoke cover benchdiff-soft bench-kernels-soft
 
 # Short fuzz smoke over the wire-facing decoders; the committed corpora in
 # testdata/fuzz/ always run as part of plain `go test`.

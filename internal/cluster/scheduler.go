@@ -193,10 +193,13 @@ type workQueue struct {
 	finished  bool          // doneCh closed (remaining hit 0 or abort)
 	doneCh    chan struct{} // closed when no work remains or the run aborts
 	rec       obs.Recorder  // queue-depth gauge; set before workers start
+
+	// afterFunc arms popTimeout's idle timer (time.AfterFunc; a test seam).
+	afterFunc func(time.Duration, func()) *time.Timer
 }
 
 func newWorkQueue(total int) *workQueue {
-	q := &workQueue{remaining: total, rec: obs.Nop{}, doneCh: make(chan struct{})}
+	q := &workQueue{remaining: total, rec: obs.Nop{}, doneCh: make(chan struct{}), afterFunc: time.AfterFunc}
 	q.cond = sync.NewCond(&q.mu)
 	return q
 }
@@ -237,10 +240,14 @@ func (q *workQueue) pop() []int {
 // exchange health probes on an otherwise-quiet connection.
 func (q *workQueue) popTimeout(d time.Duration) ([]int, bool) {
 	deadline := time.Now().Add(d)
-	wake := time.AfterFunc(d, func() { q.cond.Broadcast() })
-	defer wake.Stop()
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	var wake *time.Timer
+	defer func() {
+		if wake != nil {
+			wake.Stop()
+		}
+	}()
 	for {
 		if q.aborted || q.remaining == 0 {
 			return nil, true
@@ -251,11 +258,28 @@ func (q *workQueue) popTimeout(d time.Duration) ([]int, bool) {
 			q.rec.Gauge(obs.GaugeQueueDepth, -int64(len(t)))
 			return t, false
 		}
-		if !time.Now().Before(deadline) {
+		now := time.Now()
+		if !now.Before(deadline) {
 			return nil, false
+		}
+		if wake == nil {
+			// Armed between the deadline check and Wait, with a callback
+			// that broadcasts under q.mu, so the tick cannot land in that
+			// window and be lost.
+			wake = q.afterFunc(deadline.Sub(now), q.wake)
 		}
 		q.cond.Wait()
 	}
+}
+
+// wake is popTimeout's idle-timer callback. It broadcasts under q.mu: a
+// Broadcast without the lock could land between popTimeout's deadline
+// check and its Wait registering, find no waiter, and be lost — the idle
+// tick (and with it the health probe) would then wait for the next push.
+func (q *workQueue) wake() {
+	q.mu.Lock()
+	q.cond.Broadcast()
+	q.mu.Unlock()
 }
 
 // popBounded non-blockingly pops the first queued task whose every index

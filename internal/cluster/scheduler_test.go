@@ -221,3 +221,44 @@ func TestArmTimeoutZeroIsUnbounded(t *testing.T) {
 		t.Fatalf("zero timeout closed the conn %d time(s)", n)
 	}
 }
+
+// TestPopTimeoutTickInCheckWaitWindow is the lost-wakeup regression for the
+// idle tick: the timer fires inside popTimeout's window between its deadline
+// check and cond.Wait (the injected timer runs its callback right there,
+// while popTimeout holds the lock), and the tick must still end the wait.
+func TestPopTimeoutTickInCheckWaitWindow(t *testing.T) {
+	q := newWorkQueue(1) // one outstanding index, never queued: idle
+	q.afterFunc = fireInWindow
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if task, fin := q.popTimeout(time.Millisecond); task != nil || fin {
+			t.Errorf("popTimeout = (%v, %v), want the idle tick (nil, false)", task, fin)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		q.abort() // release the stranded popTimeout
+		t.Fatal("idle tick fired between the deadline check and Wait was lost")
+	}
+}
+
+// fireInWindow stands in for time.AfterFunc: it runs f at once on another
+// goroutine — inside the caller's check-then-wait window, since the caller
+// holds its lock while arming — and gives f 50ms to return before letting
+// the caller go on to Wait. A callback that broadcasts without the lock
+// returns at once and its wakeup is lost; one that takes the lock blocks
+// until Wait releases it, then wakes the waiter.
+func fireInWindow(_ time.Duration, f func()) *time.Timer {
+	done := make(chan struct{})
+	go func() {
+		f()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(50 * time.Millisecond):
+	}
+	return time.NewTimer(time.Hour) // the caller stops it
+}

@@ -28,26 +28,30 @@ func TestShoupPrecompBoundary(t *testing.T) {
 }
 
 // TestNTTZeroAllocs locks in that the table-driven NTT/INTT pair and the
-// scratch-fed on-the-fly variant never touch the heap.
+// scratch-fed on-the-fly variant never touch the heap, at every dispatch
+// level the host supports.
 func TestNTTZeroAllocs(t *testing.T) {
-	r := NewRing(8, GenerateNTTPrimes(40, 8, 1)[0])
-	p := r.NewPoly()
-	for i := range p {
-		p[i] = uint64(i * 31)
-	}
-	if avg := testing.AllocsPerRun(10, func() {
-		r.NTT(p)
-		r.INTT(p)
-	}); avg != 0 {
-		t.Fatalf("NTT+INTT allocate %.1f objects/op, want 0", avg)
-	}
-	sc := NewTwiddleScratch(r.N)
-	if avg := testing.AllocsPerRun(10, func() {
-		r.NTTOnTheFlyWith(p, sc)
-		r.INTT(p)
-	}); avg != 0 {
-		t.Fatalf("NTTOnTheFlyWith allocates %.1f objects/op, want 0", avg)
-	}
+	forEachLevel(t, func(t *testing.T) {
+		r := NewRing(8, GenerateNTTPrimes(40, 8, 1)[0])
+		p := r.NewPoly()
+		for i := range p {
+			p[i] = uint64(i * 31)
+		}
+		if avg := testing.AllocsPerRun(10, func() {
+			r.NTT(p)
+			r.NTTLazy(p)
+			r.INTT(p)
+		}); avg != 0 {
+			t.Fatalf("NTT+NTTLazy+INTT allocate %.1f objects/op, want 0", avg)
+		}
+		sc := NewTwiddleScratch(r.N)
+		if avg := testing.AllocsPerRun(10, func() {
+			r.NTTOnTheFlyWith(p, sc)
+			r.INTT(p)
+		}); avg != 0 {
+			t.Fatalf("NTTOnTheFlyWith allocates %.1f objects/op, want 0", avg)
+		}
+	})
 }
 
 // TestNTTOnTheFlyWithMatchesPrecomputed checks the scratch variant against

@@ -14,12 +14,14 @@ import "math/bits"
 // reduced transform — the lazy interval only changes intermediate
 // representatives, never the residue.
 //
-// When the vector path is active (see simd.go), stages with block half
-// length t ≥ 4 run on the AVX2 stage kernel; t is a power of two, so those
-// stages are whole 4-lane groups with no tails. The t=2 stage and the fused
-// canonical last stage stay scalar. The vector butterflies perform the same
-// operations in the same order on the same lazy intervals, so the transform
-// is bit-identical either way.
+// When a vector level is active (see simd.go) and N ≥ 16, every stage runs
+// in assembly: at the AVX2 level the t ≥ 4 stages on the generic stage
+// kernel and the t=2 stage and the fused canonical t=1 stage on edge
+// kernels that regroup the short blocks with in-register permutes; at the
+// avx512ifma level (rings with q < 2^50) the same split with 8-lane
+// kernels for t ≥ 8, t=4, t=2 and t=1. The vector butterflies perform the
+// same operations in the same order on the same lazy intervals, so the
+// transform is bit-identical at every level.
 //
 // The scalar and vector passes are separate driver functions on purpose:
 // a CALL to an assembly kernel anywhere in a function — even on a branch
@@ -47,8 +49,8 @@ func (r *Ring) NTT(p Poly) {
 // pair), and NTTLazy has no latency-critical callers.
 func (r *Ring) NTTLazy(p Poly) {
 	psi, psiShoup := r.psiTable, r.psiTableShoup
-	if simdActive() {
-		r.nttVecWithTables(p, psi, psiShoup, true)
+	if lvl := r.nttLevel(); lvl != levelNone {
+		r.nttVec(lvl, p, psi, psiShoup, 0)
 		return
 	}
 	q := r.Mod.Q
@@ -59,12 +61,45 @@ func (r *Ring) NTTLazy(p Poly) {
 		t >>= 1
 		nttFwdStepScalar(p, psi, psiShoup, q, m, t)
 	}
-	nttFwdLastScalar(p, psi, psiShoup, q, true)
+	nttFwdLastLazyScalar(p, psi, psiShoup, q)
+}
+
+// vecMinN is the smallest ring degree the vector transforms handle: the
+// widest edge kernels regroup 16 coefficients per step. Smaller rings run
+// the scalar driver at every level.
+const vecMinN = 16
+
+// ifmaMaxQ bounds the moduli the avx512ifma kernels accept: their Shoup
+// quotient is assembled from 52-bit products, which needs every operand
+// below 4q < 2^52. Rings with larger moduli run the AVX2 kernels instead.
+const ifmaMaxQ = 1 << 50
+
+// nttLevel is the dispatch level for this ring's transforms: the active
+// level, stepped down to AVX2 for moduli the IFMA kernels do not cover and
+// to scalar for rings below the vector kernels' minimum degree.
+func (r *Ring) nttLevel() simdLevel {
+	lvl := activeLevel()
+	if lvl == levelIFMA && r.Mod.Q >= ifmaMaxQ {
+		lvl = levelAVX2
+	}
+	if r.N < vecMinN {
+		lvl = levelNone
+	}
+	return lvl
+}
+
+// csub returns x - b when x ≥ b and x otherwise, for x < 2b ≤ 2^63: the
+// subtraction's borrow lands in the sign bit and masks b back in, so the
+// canonical and lazy folds compile to straight-line code instead of a
+// data-dependent branch that mispredicts on uniform residues.
+func csub(x, b uint64) uint64 {
+	x -= b
+	return x + b&uint64(int64(x)>>63)
 }
 
 func (r *Ring) nttWithTables(p Poly, psi, psiShoup []uint64) {
-	if simdActive() {
-		r.nttVecWithTables(p, psi, psiShoup, false)
+	if lvl := r.nttLevel(); lvl != levelNone {
+		r.nttVec(lvl, p, psi, psiShoup, r.Mod.Q)
 		return
 	}
 	q := r.Mod.Q
@@ -96,74 +131,59 @@ func (r *Ring) nttWithTables(p Poly, psi, psiShoup []uint64) {
 		}
 	}
 	// Last stage (t=1, m=n/2), open-coded: pairs are adjacent, so direct
-	// indexing replaces 4096 one-element subslice loops, and the canonical
+	// indexing replaces n/2 one-element subslice loops, and the canonical
 	// sweep is fused into the butterfly instead of running as an extra pass
-	// over the polynomial. Arithmetic and reduction order are exactly those
-	// of the generic stage followed by the old sweep — bit-identical output.
+	// over the polynomial. Same loop as nttFwdLastScalar (keep in sync).
 	if n == 1 {
-		c := p[0]
-		if c >= twoQ {
-			c -= twoQ
-		}
-		if c >= q {
-			c -= q
-		}
-		p[0] = c
+		p[0] = csub(csub(p[0], twoQ), q)
 		return
 	}
 	m := n >> 1
-	for i := 0; i < m; i++ {
-		w := psi[m+i]
-		wS := psiShoup[m+i]
-		u := p[2*i]
-		if u >= twoQ {
-			u -= twoQ
-		}
-		v := p[2*i+1]
+	psi, psiShoup = psi[m:n], psiShoup[m:n]
+	psiShoup = psiShoup[:len(psi)]
+	for i, w := range psi {
+		wS := psiShoup[i]
+		pp := p[2*i : 2*i+2 : 2*i+2]
+		u := csub(pp[0], twoQ)
+		v := pp[1]
 		hi, _ := bits.Mul64(v, wS)
 		v = v*w - hi*q
-		x := u + v // < 4q
-		if x >= twoQ {
-			x -= twoQ
-		}
-		if x >= q {
-			x -= q
-		}
-		y := u + twoQ - v // < 4q
-		if y >= twoQ {
-			y -= twoQ
-		}
-		if y >= q {
-			y -= q
-		}
-		p[2*i] = x
-		p[2*i+1] = y
+		pp[0] = csub(csub(u+v, twoQ), q)
+		pp[1] = csub(csub(u+twoQ-v, twoQ), q)
 	}
 }
 
-// nttVecWithTables is the forward pass with the AVX2 stage kernels doing
-// every t ≥ 4 stage; the t=2 stage and the fused last stage run through the
-// scalar stage helpers. Bit-identical to the scalar driver.
-func (r *Ring) nttVecWithTables(p Poly, psi, psiShoup []uint64, lazy bool) {
+// nttVec is the forward pass with every stage on the vector kernels of
+// level lvl (AVX2 or avx512ifma, see nttLevel); fin is the last stage's
+// final fold bound — q for the canonical transform, 0 (a no-op fold) for
+// NTTLazy. Bit-identical to the scalar driver.
+func (r *Ring) nttVec(lvl simdLevel, p Poly, psi, psiShoup []uint64, fin uint64) {
 	q := r.Mod.Q
 	n := r.N
 	p = p[:n]
 	t := n
-	for m := 1; m < n>>1; m <<= 1 {
-		t >>= 1
-		if t >= 4 {
-			nttFwdStepAVX2(p, psi, psiShoup, q, m, t)
-		} else {
-			nttFwdStepScalar(p, psi, psiShoup, q, m, t)
+	if lvl == levelIFMA {
+		for m := 1; m < n>>3; m <<= 1 {
+			t >>= 1
+			nttFwdStepIFMA(p, psi, psiShoup, q, m, t)
 		}
+		nttFwdT4IFMA(p, psi, psiShoup, q)
+		nttFwdT2IFMA(p, psi, psiShoup, q)
+		nttFwdLastIFMA(p, psi, psiShoup, q, fin)
+		return
 	}
-	nttFwdLastScalar(p, psi, psiShoup, q, lazy)
+	for m := 1; m < n>>2; m <<= 1 {
+		t >>= 1
+		nttFwdStepAVX2(p, psi, psiShoup, q, m, t)
+	}
+	nttFwdT2AVX2(p, psi, psiShoup, q)
+	nttFwdLastAVX2(p, psi, psiShoup, q, fin)
 }
 
 // nttFwdStepScalar runs one forward Cooley-Tukey stage (m blocks of half
-// length t) with Shoup-twiddle butterflies — the t=2 stage of the vector
-// driver, and the lane-for-lane reference the vector property tests and
-// fuzz target compare nttFwdStepAVX2 against. The pure-scalar transform
+// length t) with Shoup-twiddle butterflies — NTTLazy's scalar stage, and
+// the lane-for-lane reference the vector property tests and fuzz target
+// compare every vector stage kernel against. The pure-scalar transform
 // inlines this same loop (see nttWithTables for why); keep the two in sync.
 func nttFwdStepScalar(p Poly, psi, psiShoup []uint64, q uint64, m, t int) {
 	twoQ := 2 * q
@@ -189,49 +209,53 @@ func nttFwdStepScalar(p Poly, psi, psiShoup []uint64, q uint64, m, t int) {
 	}
 }
 
-// nttFwdLastScalar is the fused canonicalizing last stage (t=1, m=n/2) as
-// a helper for the vector driver; the scalar driver inlines the same loop.
-func nttFwdLastScalar(p Poly, psi, psiShoup []uint64, q uint64, lazy bool) {
+// nttFwdLastScalar is the fused canonicalizing last stage (t=1, m=n/2):
+// the reference for the vector last-stage kernels with fin = q. The scalar
+// driver inlines the same loop.
+func nttFwdLastScalar(p Poly, psi, psiShoup []uint64, q uint64) {
 	twoQ := 2 * q
 	n := len(p)
 	if n == 1 {
-		c := p[0]
-		if c >= twoQ {
-			c -= twoQ
-		}
-		if !lazy && c >= q {
-			c -= q
-		}
-		p[0] = c
+		p[0] = csub(csub(p[0], twoQ), q)
 		return
 	}
 	m := n >> 1
-	for i := 0; i < m; i++ {
-		w := psi[m+i]
-		wS := psiShoup[m+i]
-		u := p[2*i]
-		if u >= twoQ {
-			u -= twoQ
-		}
-		v := p[2*i+1]
+	psi, psiShoup = psi[m:n], psiShoup[m:n]
+	psiShoup = psiShoup[:len(psi)]
+	for i, w := range psi {
+		wS := psiShoup[i]
+		pp := p[2*i : 2*i+2 : 2*i+2]
+		u := csub(pp[0], twoQ)
+		v := pp[1]
 		hi, _ := bits.Mul64(v, wS)
 		v = v*w - hi*q
-		x := u + v // < 4q
-		if x >= twoQ {
-			x -= twoQ
-		}
-		if !lazy && x >= q {
-			x -= q
-		}
-		y := u + twoQ - v // < 4q
-		if y >= twoQ {
-			y -= twoQ
-		}
-		if !lazy && y >= q {
-			y -= q
-		}
-		p[2*i] = x
-		p[2*i+1] = y
+		pp[0] = csub(csub(u+v, twoQ), q)
+		pp[1] = csub(csub(u+twoQ-v, twoQ), q)
+	}
+}
+
+// nttFwdLastLazyScalar is nttFwdLastScalar without the canonical fold —
+// outputs in [0, 2q) — NTTLazy's scalar last stage and the reference for
+// the vector last-stage kernels with fin = 0.
+func nttFwdLastLazyScalar(p Poly, psi, psiShoup []uint64, q uint64) {
+	twoQ := 2 * q
+	n := len(p)
+	if n == 1 {
+		p[0] = csub(p[0], twoQ)
+		return
+	}
+	m := n >> 1
+	psi, psiShoup = psi[m:n], psiShoup[m:n]
+	psiShoup = psiShoup[:len(psi)]
+	for i, w := range psi {
+		wS := psiShoup[i]
+		pp := p[2*i : 2*i+2 : 2*i+2]
+		u := csub(pp[0], twoQ)
+		v := pp[1]
+		hi, _ := bits.Mul64(v, wS)
+		v = v*w - hi*q
+		pp[0] = csub(u+v, twoQ)
+		pp[1] = csub(u+twoQ-v, twoQ)
 	}
 }
 
@@ -240,12 +264,12 @@ func nttFwdLastScalar(p Poly, psi, psiShoup []uint64, q uint64, lazy bool) {
 // lazy-reduction discipline as NTT, coefficients in [0, 2q) between passes),
 // including the final multiplication by N^{-1} which also performs the
 // canonical reduction. Driver split mirrors NTT: the scalar pass contains no
-// assembly calls, the vector pass sends t ≥ 4 stages to the AVX2 kernel and
-// the open-coded first stage through the scalar helper; the N^{-1} sweep
-// rides the MulScalar Shoup kernel in both.
+// assembly calls, the vector pass runs every stage on the kernels of the
+// ring's dispatch level; the N^{-1} sweep rides the MulScalar Shoup kernel
+// in both.
 func (r *Ring) INTT(p Poly) {
-	if simdActive() {
-		r.inttVec(p)
+	if lvl := r.nttLevel(); lvl != levelNone {
+		r.inttVec(lvl, p)
 		return
 	}
 	q := r.Mod.Q
@@ -259,21 +283,18 @@ func (r *Ring) INTT(p Poly) {
 		// First stage (t=1, h=n/2), open-coded with direct indexing for the
 		// same reason as the forward transform's last stage: the pairs are
 		// adjacent and a one-element subslice loop per butterfly costs more
-		// than the butterfly.
+		// than the butterfly. Same loop as nttInvFirstScalar (keep in sync).
 		h := n >> 1
-		for i := 0; i < h; i++ {
-			w := psiInv[h+i]
-			wS := psiInvShoup[h+i]
-			u := p[2*i]
-			v := p[2*i+1]
-			c := u + v // < 4q
-			if c >= twoQ {
-				c -= twoQ
-			}
-			p[2*i] = c
-			d := u + twoQ - v // < 4q
+		w1, w1S := psiInv[h:n], psiInvShoup[h:n]
+		w1S = w1S[:len(w1)]
+		for i, w := range w1 {
+			wS := w1S[i]
+			pp := p[2*i : 2*i+2 : 2*i+2]
+			u, v := pp[0], pp[1]
+			pp[0] = csub(u+v, twoQ) // < 4q → [0, 2q)
+			d := u + twoQ - v       // < 4q
 			hi, _ := bits.Mul64(d, wS)
-			p[2*i+1] = d*w - hi*q // lazy Shoup ∈ [0, 2q)
+			pp[1] = d*w - hi*q // lazy Shoup ∈ [0, 2q)
 		}
 		t = 2
 	}
@@ -305,54 +326,58 @@ func (r *Ring) INTT(p Poly) {
 	r.nInvSweep(p)
 }
 
-// inttVec is the inverse pass with the AVX2 stage kernels (see INTT).
-func (r *Ring) inttVec(p Poly) {
+// inttVec is the inverse pass with every stage on the vector kernels of
+// level lvl (see INTT).
+func (r *Ring) inttVec(lvl simdLevel, p Poly) {
 	q := r.Mod.Q
 	n := r.N
 	psiInv := r.psiInvTable
 	psiInvShoup := r.psiInvTableShoup
 	p = p[:n]
-	t := 1
-	if n >= 2 {
-		nttInvFirstScalar(p, psiInv, psiInvShoup, q)
-		t = 2
-	}
-	for m := n >> 1; m > 1; m >>= 1 {
-		h := m >> 1
-		if t >= 4 {
-			nttInvStepAVX2(p, psiInv, psiInvShoup, q, h, t)
-		} else {
-			nttInvStepScalar(p, psiInv, psiInvShoup, q, h, t)
+	if lvl == levelIFMA {
+		nttInvFirstIFMA(p, psiInv, psiInvShoup, q)
+		nttInvT2IFMA(p, psiInv, psiInvShoup, q)
+		nttInvT4IFMA(p, psiInv, psiInvShoup, q)
+		t := 8
+		for m := n >> 3; m > 1; m >>= 1 {
+			nttInvStepIFMA(p, psiInv, psiInvShoup, q, m>>1, t)
+			t <<= 1
 		}
-		t <<= 1
+	} else {
+		nttInvFirstAVX2(p, psiInv, psiInvShoup, q)
+		nttInvT2AVX2(p, psiInv, psiInvShoup, q)
+		t := 4
+		for m := n >> 2; m > 1; m >>= 1 {
+			nttInvStepAVX2(p, psiInv, psiInvShoup, q, m>>1, t)
+			t <<= 1
+		}
 	}
 	r.nInvSweep(p)
 }
 
-// nttInvFirstScalar is the open-coded first inverse stage (t=1, h=n/2) as a
-// helper for the vector driver; INTT inlines the same loop.
+// nttInvFirstScalar is the open-coded first inverse stage (t=1, h=n/2) —
+// the reference for the vector first-stage kernels; INTT inlines the same
+// loop.
 func nttInvFirstScalar(p Poly, psiInv, psiInvShoup []uint64, q uint64) {
 	twoQ := 2 * q
-	h := len(p) >> 1
-	for i := 0; i < h; i++ {
-		w := psiInv[h+i]
-		wS := psiInvShoup[h+i]
-		u := p[2*i]
-		v := p[2*i+1]
-		c := u + v // < 4q
-		if c >= twoQ {
-			c -= twoQ
-		}
-		p[2*i] = c
-		d := u + twoQ - v // < 4q
+	n := len(p)
+	h := n >> 1
+	psiInv, psiInvShoup = psiInv[h:n], psiInvShoup[h:n]
+	psiInvShoup = psiInvShoup[:len(psiInv)]
+	for i, w := range psiInv {
+		wS := psiInvShoup[i]
+		pp := p[2*i : 2*i+2 : 2*i+2]
+		u, v := pp[0], pp[1]
+		pp[0] = csub(u+v, twoQ) // < 4q → [0, 2q)
+		d := u + twoQ - v       // < 4q
 		hi, _ := bits.Mul64(d, wS)
-		p[2*i+1] = d*w - hi*q // lazy Shoup ∈ [0, 2q)
+		pp[1] = d*w - hi*q // lazy Shoup ∈ [0, 2q)
 	}
 }
 
 // nttInvStepScalar runs one inverse Gentleman-Sande stage (h blocks of half
-// length t) — the t=2 stage of the vector driver and the reference
-// semantics for nttInvStepAVX2; INTT inlines the same loop (keep in sync).
+// length t) — the reference semantics for every vector inverse stage
+// kernel with t ≥ 2; INTT inlines the same loop (keep in sync).
 func nttInvStepScalar(p Poly, psiInv, psiInvShoup []uint64, q uint64, h, t int) {
 	twoQ := 2 * q
 	j1 := 0

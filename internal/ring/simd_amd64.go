@@ -7,32 +7,64 @@ import (
 	"sync/atomic"
 )
 
-// simdOn gates every vector dispatch point. It is an atomic so a runtime
+// simdLvl gates every vector dispatch point. It is an atomic so a runtime
 // toggle (the binaries' -nosimd flag, tests flipping the path under -race)
 // is a plain data-race-free load on the hot paths — on amd64 an atomic load
 // is an ordinary MOV, so the guard costs one predictable branch per sweep,
 // never per coefficient.
-var simdOn atomic.Bool
+var simdLvl atomic.Int32
+
+// hostLevel is the best level the CPU and OS support, probed once.
+var hostLevel = probeLevel()
 
 func init() {
-	simdOn.Store(cpuSupportsAVX2() && os.Getenv("HEAP_NOSIMD") == "")
+	lvl := hostLevel
+	if os.Getenv("HEAP_NOSIMD") != "" {
+		lvl = levelNone
+	}
+	simdLvl.Store(int32(lvl))
 }
 
+// activeLevel is the level the kernels currently dispatch to.
+func activeLevel() simdLevel { return simdLevel(simdLvl.Load()) }
+
 // simdActive reports whether the vector kernels are selected.
-func simdActive() bool { return simdOn.Load() }
+func simdActive() bool { return simdLvl.Load() != int32(levelNone) }
 
 // SetSIMD enables or disables the vector kernel set at runtime and reports
-// the resulting state. Enabling is refused (returns false) when the host
-// lacks AVX2 or OS support for saving the YMM state; disabling always takes
-// effect. The scalar fallback is bit-identical, so flipping this mid-run is
-// safe — it only changes which instructions compute the same values.
+// the resulting state. Enabling selects the best level the host supports
+// and is refused (returns false) when the host lacks AVX2 or OS support for
+// saving the YMM state; disabling always takes effect. The scalar fallback
+// is bit-identical, so flipping this mid-run is safe — it only changes
+// which instructions compute the same values.
 func SetSIMD(enable bool) bool {
-	if enable && !cpuSupportsAVX2() {
-		simdOn.Store(false)
+	if !enable {
+		simdLvl.Store(int32(levelNone))
 		return false
 	}
-	simdOn.Store(enable)
-	return enable
+	simdLvl.Store(int32(hostLevel))
+	return hostLevel != levelNone
+}
+
+// setSIMDLevel pins the dispatch level, for tests that sweep every level
+// the host supports; it refuses (returns false, level unchanged) a level
+// above the host's.
+func setSIMDLevel(lvl simdLevel) bool {
+	if lvl > hostLevel {
+		return false
+	}
+	simdLvl.Store(int32(lvl))
+	return true
+}
+
+func probeLevel() simdLevel {
+	switch {
+	case !cpuSupportsAVX2():
+		return levelNone
+	case !cpuSupportsIFMA():
+		return levelAVX2
+	}
+	return levelIFMA
 }
 
 // cpuid and xgetbv0 are the tiny assembly probes behind feature detection —
@@ -66,21 +98,79 @@ func cpuSupportsAVX2() bool {
 	return ebx7&avx2Bit != 0
 }
 
-// Assembly kernels (ntt_amd64.s, vec_amd64.s). Every function processes
-// only whole 4-lane groups: the NTT stage kernels are called for stages
-// with block length t ≥ 4 (t is a power of two, so always a multiple of
-// the vector width there), and the sweep kernels are handed a length
-// pre-truncated to a multiple of 4 by their Go wrappers, which run the
-// scalar loop on the tail. All of them tolerate out aliasing an input
-// (each lane group is fully read before it is written, like the scalar
-// loops). //go:noescape keeps the slice headers off the heap so the PR 2
-// zero-allocation locks keep holding on the vector path.
+// cpuSupportsIFMA checks for the 512-bit kernels' instruction set —
+// AVX512F, AVX512DQ (VPMULLQ) and AVX512IFMA (VPMADD52{L,H}UQ) in
+// CPUID.(7,0):EBX — and for the OS saving the opmask and ZMM state (XCR0
+// bits 5–7) on top of the YMM state cpuSupportsAVX2 already checked.
+func cpuSupportsIFMA() bool {
+	_, ebx7, _, _ := cpuid(7, 0)
+	const avx512f, avx512dq, avx512ifma = 1 << 16, 1 << 17, 1 << 21
+	const want = avx512f | avx512dq | avx512ifma
+	if ebx7&want != want {
+		return false
+	}
+	xcr0, _ := xgetbv0()
+	const zmmState = 0xe0 // opmask, ZMM0-15 upper halves, ZMM16-31
+	return xcr0&zmmState == zmmState
+}
+
+// Assembly kernels (ntt_amd64.s, ntt_ifma_amd64.s, vec_amd64.s). Every
+// function processes only whole lane groups: the generic NTT stage kernels
+// are called for stages with block length t ≥ 4 (AVX2) or t ≥ 8 (IFMA) —
+// t is a power of two, so always a multiple of the vector width there —
+// the edge-stage kernels need N ≥ 16 (see vecMinN), and the sweep kernels
+// are handed a length pre-truncated to a multiple of 4 by their Go
+// wrappers, which run the scalar loop on the tail. All of them tolerate
+// out aliasing an input (each lane group is fully read before it is
+// written, like the scalar loops). //go:noescape keeps the slice headers
+// off the heap so the zero-allocation locks keep holding on the
+// vector path.
 
 //go:noescape
 func nttFwdStepAVX2(p []uint64, psi, psiShoup []uint64, q uint64, m, t int)
 
 //go:noescape
 func nttInvStepAVX2(p []uint64, psiInv, psiInvShoup []uint64, q uint64, h, t int)
+
+// Edge-stage kernels (t=2 and t=1) and the avx512ifma stage kernels take
+// the whole polynomial and derive the stage's twiddle offset from len(p);
+// fin is the forward last stage's final fold bound (q canonical, 0 lazy).
+
+//go:noescape
+func nttFwdT2AVX2(p []uint64, tw, twShoup []uint64, q uint64)
+
+//go:noescape
+func nttFwdLastAVX2(p []uint64, tw, twShoup []uint64, q, fin uint64)
+
+//go:noescape
+func nttInvFirstAVX2(p []uint64, tw, twShoup []uint64, q uint64)
+
+//go:noescape
+func nttInvT2AVX2(p []uint64, tw, twShoup []uint64, q uint64)
+
+//go:noescape
+func nttFwdStepIFMA(p []uint64, tw, twShoup []uint64, q uint64, m, t int)
+
+//go:noescape
+func nttFwdT4IFMA(p []uint64, tw, twShoup []uint64, q uint64)
+
+//go:noescape
+func nttFwdT2IFMA(p []uint64, tw, twShoup []uint64, q uint64)
+
+//go:noescape
+func nttFwdLastIFMA(p []uint64, tw, twShoup []uint64, q, fin uint64)
+
+//go:noescape
+func nttInvStepIFMA(p []uint64, tw, twShoup []uint64, q uint64, m, t int)
+
+//go:noescape
+func nttInvT4IFMA(p []uint64, tw, twShoup []uint64, q uint64)
+
+//go:noescape
+func nttInvT2IFMA(p []uint64, tw, twShoup []uint64, q uint64)
+
+//go:noescape
+func nttInvFirstIFMA(p []uint64, tw, twShoup []uint64, q uint64)
 
 //go:noescape
 func nttFwdStepMontAVX2(p []uint64, psiMont []uint64, q, qInv uint64, m, t int)

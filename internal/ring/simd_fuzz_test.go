@@ -20,15 +20,17 @@ func fuzzPrimes() []uint64 {
 		fuzzPrimesList = append(fuzzPrimesList, GenerateNTTPrimes(55, 12, 1)[0])
 		fuzzPrimesList = append(fuzzPrimesList, GenerateNTTPrimes(60, 12, 1)[0])
 		fuzzPrimesList = append(fuzzPrimesList, GenerateNTTPrimes(61, 12, 1)[0])
+		fuzzPrimesList = append(fuzzPrimesList, GenerateNTTPrimes(50, 12, 1)[0], GenerateNTTPrimesUp(50, 12, 1)[0])
 	})
 	return fuzzPrimesList
 }
 
 // FuzzVectorVsScalarKernels fuzzes the bit-identity contract: every
-// dispatched kernel, run on the vector path and the scalar path with
-// identical fuzz-chosen inputs (prime, length — including sub-width lengths
-// and width±1 —, aliasing, values planted at the lazy-interval edges), must
-// produce byte-for-byte equal output. On builds or hosts without the vector
+// dispatched kernel and every vector NTT stage kernel, run on the vector
+// path and the scalar path with identical fuzz-chosen inputs (prime,
+// length — including sub-width lengths and width±1 —, aliasing, values
+// planted at the lazy-interval edges), must produce byte-for-byte equal
+// output. On builds or hosts without the vector
 // path the target degenerates to scalar-vs-scalar and trivially holds, so
 // corpus entries stay portable.
 func FuzzVectorVsScalarKernels(f *testing.F) {
@@ -41,6 +43,14 @@ func FuzzVectorVsScalarKernels(f *testing.F) {
 		f.Add(uint64(3), uint8(5), kernel, uint8(4), true)
 		f.Add(uint64(4), uint8(7), kernel, uint8(5), true)
 		f.Add(uint64(5), uint8(8), kernel, uint8(8), false)
+	}
+	// Class 10 (the stage-kernel table: edge and IFMA kernels): every
+	// degree 16..256, a 36-bit basis prime and the IFMA boundary primes,
+	// with the high seed word spreading the kernel choice.
+	for length := uint8(0); length < 5; length++ {
+		f.Add(uint64(length)<<32|6, uint8(0), uint8(10), length, false)
+		f.Add(uint64(length+7)<<32|7, uint8(10), uint8(10), length, false)
+		f.Add(uint64(length+13)<<32|8, uint8(11), uint8(10), length, false)
 	}
 	f.Fuzz(func(t *testing.T, seed uint64, primeSel, kernel, length uint8, alias bool) {
 		prev := simdActive()
@@ -100,7 +110,7 @@ func FuzzVectorVsScalarKernels(f *testing.F) {
 		w := rng.Uint64() % q
 		wShoup := mod.ShoupPrecomp(w)
 
-		switch kernel % 10 {
+		switch kernel % 11 {
 		case 0:
 			runBoth(func(p, a, b, out Poly) { r.MulCoeffs(a, b, out) }, int(length), q, q)
 		case 1:
@@ -114,6 +124,20 @@ func FuzzVectorVsScalarKernels(f *testing.F) {
 			runBoth(func(p, a, b, out Poly) { r.Add(a, b, out) }, int(length), q, q)
 		case 5:
 			runBoth(func(p, a, b, out Poly) { r.Sub(a, b, out) }, int(length), q, q)
+		case 10:
+			// Stage-kernel table: one fuzz-chosen kernel (edge stages, IFMA
+			// stages) at degree 16..256 against its scalar reference.
+			n := 16 << (int(length) % 5)
+			psi, psiShoup := randomTwiddles(rng, mod, n)
+			ks := stageKernels(q, n, psi, psiShoup)
+			k := ks[int(seed>>32)%len(ks)]
+			runBoth(func(p, a, b, out Poly) {
+				if activeLevel() >= k.level {
+					k.vec(p)
+				} else {
+					k.ref(p)
+				}
+			}, n, k.bound, q)
 		default:
 			// NTT stage kernels: degree 8..256, one fuzz-chosen stage with
 			// t >= 4, twiddle-like tables (canonical, consistent companions).

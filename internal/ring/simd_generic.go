@@ -12,9 +12,18 @@ package ring
 // this build.
 func simdActive() bool { return false }
 
+// hostLevel is the best level this build can run: scalar only.
+var hostLevel = levelNone
+
+// activeLevel is the dispatch level: always scalar on this build.
+func activeLevel() simdLevel { return levelNone }
+
 // SetSIMD is the runtime toggle for the vector kernel set; without compiled
 // vector kernels it always reports false and enabling is a no-op.
 func SetSIMD(enable bool) bool { return false }
+
+// setSIMDLevel accepts only the scalar level on this build.
+func setSIMDLevel(lvl simdLevel) bool { return lvl == levelNone }
 
 func unreachableSIMD() {
 	panic("ring: vector kernel called on a build without SIMD support")
@@ -25,6 +34,30 @@ func nttFwdStepAVX2(p []uint64, psi, psiShoup []uint64, q uint64, m, t int) { un
 func nttInvStepAVX2(p []uint64, psiInv, psiInvShoup []uint64, q uint64, h, t int) {
 	unreachableSIMD()
 }
+
+func nttFwdT2AVX2(p []uint64, tw, twShoup []uint64, q uint64) { unreachableSIMD() }
+
+func nttFwdLastAVX2(p []uint64, tw, twShoup []uint64, q, fin uint64) { unreachableSIMD() }
+
+func nttInvFirstAVX2(p []uint64, tw, twShoup []uint64, q uint64) { unreachableSIMD() }
+
+func nttInvT2AVX2(p []uint64, tw, twShoup []uint64, q uint64) { unreachableSIMD() }
+
+func nttFwdStepIFMA(p []uint64, tw, twShoup []uint64, q uint64, m, t int) { unreachableSIMD() }
+
+func nttFwdT4IFMA(p []uint64, tw, twShoup []uint64, q uint64) { unreachableSIMD() }
+
+func nttFwdT2IFMA(p []uint64, tw, twShoup []uint64, q uint64) { unreachableSIMD() }
+
+func nttFwdLastIFMA(p []uint64, tw, twShoup []uint64, q, fin uint64) { unreachableSIMD() }
+
+func nttInvStepIFMA(p []uint64, tw, twShoup []uint64, q uint64, m, t int) { unreachableSIMD() }
+
+func nttInvT4IFMA(p []uint64, tw, twShoup []uint64, q uint64) { unreachableSIMD() }
+
+func nttInvT2IFMA(p []uint64, tw, twShoup []uint64, q uint64) { unreachableSIMD() }
+
+func nttInvFirstIFMA(p []uint64, tw, twShoup []uint64, q uint64) { unreachableSIMD() }
 
 func nttFwdStepMontAVX2(p []uint64, psiMont []uint64, q, qInv uint64, m, t int) { unreachableSIMD() }
 

@@ -1,18 +1,46 @@
 package ring
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
 )
 
-// simdPrimes is the kernel-equivalence basis plus a 61-bit boundary modulus:
-// the vector kernels' signed-compare argument (every compared value < 2^63
-// because q < 2^61) is tightest there, so the top of the supported range must
-// be in every bit-identity sweep.
+// simdPrimes is the kernel-equivalence basis plus three boundary moduli: the
+// AVX2 kernels' signed-compare argument (every compared value < 2^63
+// because q < 2^61) is tightest at 61 bits, and the IFMA kernels' 52-bit
+// operand bound (4q < 2^52) is tightest just below 2^50 — the prime just
+// above it must fall back to AVX2 — so both edges are in every bit-identity
+// sweep.
 func simdPrimes(t testing.TB) []uint64 {
 	t.Helper()
-	return append(paramsPrimes(t), GenerateNTTPrimes(61, 12, 1)[0])
+	return append(paramsPrimes(t), GenerateNTTPrimes(61, 12, 1)[0],
+		GenerateNTTPrimes(50, 12, 1)[0], GenerateNTTPrimesUp(50, 12, 1)[0])
+}
+
+// forEachLevel runs f as a subtest at every dispatch level the build and
+// host support (scalar first), restoring the prior level afterwards.
+func forEachLevel(t *testing.T, f func(t *testing.T)) {
+	t.Helper()
+	prev := activeLevel()
+	t.Cleanup(func() { setSIMDLevel(prev) })
+	for lvl := levelNone; lvl <= levelIFMA; lvl++ {
+		if !setSIMDLevel(lvl) {
+			continue
+		}
+		t.Run(levelNames[lvl], f)
+	}
+}
+
+// edgeFill writes operands parked at the lazy-interval edges only — each
+// slot one of 0, 1, q-1, q, bound-2, bound-1 — so every lane of a vector
+// step sees boundary values at once.
+func edgeFill(rng *rand.Rand, p []uint64, q, bound uint64) {
+	edges := []uint64{0, 1, q - 1, q, bound - 2, bound - 1}
+	for i := range p {
+		p[i] = edges[rng.Intn(len(edges))] % bound
+	}
 }
 
 // withVector enables the vector kernels for the duration of the test,
@@ -111,95 +139,160 @@ func TestVectorSweepKernelsMatchScalar(t *testing.T) {
 	}
 }
 
-// TestVectorNTTStageKernelsMatchScalar compares each AVX2 butterfly stage
-// kernel directly against its scalar reference, on inputs planted at the
+// stageKernel is one vector NTT/INTT stage kernel paired with its scalar
+// reference: vec and ref transform p in place, from inputs drawn below
+// bound (4q into a forward stage, 2q into an inverse one).
+type stageKernel struct {
+	name     string
+	level    simdLevel
+	bound    uint64
+	vec, ref func(p Poly)
+}
+
+// stageKernels lists every Shoup-twiddle stage kernel applicable to a
+// degree-n polynomial (n ≥ 16) over q with the given twiddle tables: the
+// generic AVX2 and IFMA stages at each block half-length t they take, and
+// the t=4, t=2 and t=1 edge kernels of both levels (canonical and lazy
+// forward last stage). IFMA kernels are listed only for q < 2^50.
+func stageKernels(q uint64, n int, psi, psiShoup []uint64) []stageKernel {
+	var ks []stageKernel
+	fwd, inv := 4*q, 2*q
+	add := func(name string, lvl simdLevel, bound uint64, vec, ref func(Poly)) {
+		if lvl == levelIFMA && q >= ifmaMaxQ {
+			return
+		}
+		ks = append(ks, stageKernel{name, lvl, bound, vec, ref})
+	}
+	fwdRef := func(m, t int) func(Poly) {
+		return func(p Poly) { nttFwdStepScalar(p, psi, psiShoup, q, m, t) }
+	}
+	invRef := func(h, t int) func(Poly) {
+		return func(p Poly) { nttInvStepScalar(p, psi, psiShoup, q, h, t) }
+	}
+	// A stage of block half-length t has m = h = n/(2t) blocks both ways.
+	for t := n / 2; t >= 4; t >>= 1 {
+		m := n / (2 * t)
+		add(fmt.Sprintf("fwdStepAVX2/t=%d", t), levelAVX2, fwd,
+			func(p Poly) { nttFwdStepAVX2(p, psi, psiShoup, q, m, t) }, fwdRef(m, t))
+		add(fmt.Sprintf("invStepAVX2/t=%d", t), levelAVX2, inv,
+			func(p Poly) { nttInvStepAVX2(p, psi, psiShoup, q, m, t) }, invRef(m, t))
+		if t >= 8 {
+			add(fmt.Sprintf("fwdStepIFMA/t=%d", t), levelIFMA, fwd,
+				func(p Poly) { nttFwdStepIFMA(p, psi, psiShoup, q, m, t) }, fwdRef(m, t))
+			add(fmt.Sprintf("invStepIFMA/t=%d", t), levelIFMA, inv,
+				func(p Poly) { nttInvStepIFMA(p, psi, psiShoup, q, m, t) }, invRef(m, t))
+		}
+	}
+	fwdLast := func(p Poly) { nttFwdLastScalar(p, psi, psiShoup, q) }
+	fwdLastLazy := func(p Poly) { nttFwdLastLazyScalar(p, psi, psiShoup, q) }
+	invFirst := func(p Poly) { nttInvFirstScalar(p, psi, psiShoup, q) }
+	add("fwdT2AVX2", levelAVX2, fwd, func(p Poly) { nttFwdT2AVX2(p, psi, psiShoup, q) }, fwdRef(n/4, 2))
+	add("fwdLastAVX2", levelAVX2, fwd, func(p Poly) { nttFwdLastAVX2(p, psi, psiShoup, q, q) }, fwdLast)
+	add("fwdLastLazyAVX2", levelAVX2, fwd, func(p Poly) { nttFwdLastAVX2(p, psi, psiShoup, q, 0) }, fwdLastLazy)
+	add("invFirstAVX2", levelAVX2, inv, func(p Poly) { nttInvFirstAVX2(p, psi, psiShoup, q) }, invFirst)
+	add("invT2AVX2", levelAVX2, inv, func(p Poly) { nttInvT2AVX2(p, psi, psiShoup, q) }, invRef(n/4, 2))
+	add("fwdT4IFMA", levelIFMA, fwd, func(p Poly) { nttFwdT4IFMA(p, psi, psiShoup, q) }, fwdRef(n/8, 4))
+	add("fwdT2IFMA", levelIFMA, fwd, func(p Poly) { nttFwdT2IFMA(p, psi, psiShoup, q) }, fwdRef(n/4, 2))
+	add("fwdLastIFMA", levelIFMA, fwd, func(p Poly) { nttFwdLastIFMA(p, psi, psiShoup, q, q) }, fwdLast)
+	add("fwdLastLazyIFMA", levelIFMA, fwd, func(p Poly) { nttFwdLastIFMA(p, psi, psiShoup, q, 0) }, fwdLastLazy)
+	add("invFirstIFMA", levelIFMA, inv, func(p Poly) { nttInvFirstIFMA(p, psi, psiShoup, q) }, invFirst)
+	add("invT2IFMA", levelIFMA, inv, func(p Poly) { nttInvT2IFMA(p, psi, psiShoup, q) }, invRef(n/4, 2))
+	add("invT4IFMA", levelIFMA, inv, func(p Poly) { nttInvT4IFMA(p, psi, psiShoup, q) }, invRef(n/8, 4))
+	return ks
+}
+
+// randomTwiddles returns random canonical twiddle-like tables: the stage
+// kernels do not require genuine roots of unity, only w < q with consistent
+// Shoup companions.
+func randomTwiddles(rng *rand.Rand, mod Modulus, n int) (psi, psiShoup []uint64) {
+	psi = make([]uint64, n)
+	psiShoup = make([]uint64, n)
+	for i := range psi {
+		psi[i] = rng.Uint64() % mod.Q
+		psiShoup[i] = mod.ShoupPrecomp(psi[i])
+	}
+	return psi, psiShoup
+}
+
+// TestVectorNTTStageKernelsMatchScalar compares every vector butterfly
+// stage kernel the host can run directly against its scalar reference, on
+// every committed prime and boundary modulus, with inputs planted at the
 // extreme edges of the Harvey lazy intervals ([0, 4q) into a forward stage,
 // [0, 2q) into an inverse stage) — the adversarial domain where a reduction
-// that diverges from the scalar order would show.
+// that diverges from the scalar order would show. The polynomial sits
+// between guard words in a larger buffer, so a kernel that strays past
+// either end of its slice fails too.
 func TestVectorNTTStageKernelsMatchScalar(t *testing.T) {
 	withVector(t)
 	rng := rand.New(rand.NewSource(202))
+	const guard = 8
+	const sentinel = 0xDEADBEEFCAFEF00D
 	for _, q := range simdPrimes(t) {
 		mod := NewModulus(q)
-		for _, n := range []int{8, 32, 256} {
-			// Random canonical twiddle-like tables: the stage kernels do not
-			// require genuine roots of unity, only w < q with consistent
-			// Shoup/Montgomery companions.
-			psi := make([]uint64, n)
-			psiShoup := make([]uint64, n)
-			psiMont := make([]uint64, n)
-			for i := range psi {
-				psi[i] = rng.Uint64() % q
-				psiShoup[i] = mod.ShoupPrecomp(psi[i])
-				psiMont[i] = rng.Uint64() % q
+		for _, n := range []int{16, 32, 256} {
+			psi, psiShoup := randomTwiddles(rng, mod, n)
+			ks := stageKernels(q, n, psi, psiShoup)
+			// The Montgomery-twiddle AVX2 stages, with psi doubling as the
+			// Montgomery-domain table (the kernels need only w < q).
+			for t := n / 2; t >= 4; t >>= 1 {
+				m := n / (2 * t)
+				ks = append(ks,
+					stageKernel{fmt.Sprintf("fwdStepMontAVX2/t=%d", t), levelAVX2, 4 * q,
+						func(p Poly) { nttFwdStepMontAVX2(p, psi, q, mod.MRedQInv, m, t) },
+						func(p Poly) { nttFwdStepMontScalar(p, psi, q, mod.MRedQInv, m, t) }},
+					stageKernel{fmt.Sprintf("invStepMontAVX2/t=%d", t), levelAVX2, 2 * q,
+						func(p Poly) { nttInvStepMontAVX2(p, psi, q, mod.MRedQInv, m, t) },
+						func(p Poly) { nttInvStepMontScalar(p, psi, q, mod.MRedQInv, m, t) }})
 			}
-
-			// Forward stages: every (m, t) with t >= 4, Shoup and Montgomery.
-			st := n
-			for m := 1; m < n>>1; m <<= 1 {
-				st >>= 1
-				if st < 4 {
-					break
+			for _, k := range ks {
+				if k.level > hostLevel {
+					continue
 				}
-				p := make(Poly, n)
-				lazyFill(rng, p, 4*q)
-				ps, pv := p.Copy(), p.Copy()
-				nttFwdStepScalar(ps, psi, psiShoup, q, m, st)
-				nttFwdStepAVX2(pv, psi, psiShoup, q, m, st)
-				for i := range ps {
-					if ps[i] != pv[i] {
-						t.Fatalf("q=%d n=%d fwd m=%d t=%d: vector[%d]=%d scalar=%d", q, n, m, st, i, pv[i], ps[i])
-					}
-				}
-				ps, pv = p.Copy(), p.Copy()
-				nttFwdStepMontScalar(ps, psiMont, q, mod.MRedQInv, m, st)
-				nttFwdStepMontAVX2(pv, psiMont, q, mod.MRedQInv, m, st)
-				for i := range ps {
-					if ps[i] != pv[i] {
-						t.Fatalf("q=%d n=%d fwdMont m=%d t=%d: vector[%d]=%d scalar=%d", q, n, m, st, i, pv[i], ps[i])
-					}
-				}
-			}
-
-			// Inverse stages: every (h, t) with t >= 4.
-			it := 2
-			for m := n >> 1; m > 1; m >>= 1 {
-				h := m >> 1
-				if it >= 4 {
+				for _, fill := range []func(p []uint64){
+					func(p []uint64) { lazyFill(rng, p, k.bound) },
+					func(p []uint64) { edgeFill(rng, p, q, k.bound) },
+				} {
 					p := make(Poly, n)
-					lazyFill(rng, p, 2*q)
-					ps, pv := p.Copy(), p.Copy()
-					nttInvStepScalar(ps, psi, psiShoup, q, h, it)
-					nttInvStepAVX2(pv, psi, psiShoup, q, h, it)
-					for i := range ps {
-						if ps[i] != pv[i] {
-							t.Fatalf("q=%d n=%d inv h=%d t=%d: vector[%d]=%d scalar=%d", q, n, h, it, i, pv[i], ps[i])
+					fill(p)
+					want := p.Copy()
+					k.ref(want)
+					buf := make([]uint64, n+2*guard)
+					for i := range buf {
+						buf[i] = sentinel
+					}
+					got := Poly(buf[guard : guard+n : guard+n])
+					copy(got, p)
+					k.vec(got)
+					for i := range want {
+						if want[i] != got[i] {
+							t.Fatalf("q=%d n=%d %s: vector[%d]=%d scalar=%d", q, n, k.name, i, got[i], want[i])
 						}
 					}
-					ps, pv = p.Copy(), p.Copy()
-					nttInvStepMontScalar(ps, psiMont, q, mod.MRedQInv, h, it)
-					nttInvStepMontAVX2(pv, psiMont, q, mod.MRedQInv, h, it)
-					for i := range ps {
-						if ps[i] != pv[i] {
-							t.Fatalf("q=%d n=%d invMont h=%d t=%d: vector[%d]=%d scalar=%d", q, n, h, it, i, pv[i], ps[i])
+					for i := 0; i < guard; i++ {
+						if buf[i] != sentinel || buf[guard+n+i] != sentinel {
+							t.Fatalf("q=%d n=%d %s: wrote outside the polynomial", q, n, k.name)
 						}
 					}
 				}
-				it <<= 1
 			}
 		}
 	}
 }
 
-// TestVectorTransformsMatchScalar runs every public transform with the vector
-// path on and off and requires byte-identical results — the whole-transform
-// closure of the per-stage identity above, across ring degrees (including
-// degrees small enough that every stage falls back to scalar) and an extra
-// 61-bit boundary-modulus ring.
+// TestVectorTransformsMatchScalar runs every public transform at each
+// vector level the host supports and on the scalar path, and requires
+// byte-identical results — the whole-transform closure of the per-stage
+// identity above, across ring degrees (including degrees small enough that
+// every level falls back to scalar), the paper basis, and boundary-modulus
+// rings on both sides of the IFMA range and at the 61-bit top.
 func TestVectorTransformsMatchScalar(t *testing.T) {
 	withVector(t)
 	rings := testRings(t)
-	rings = append(rings, NewRing(12, GenerateNTTPrimes(61, 12, 1)[0]))
+	for _, q := range GenerateNTTPrimes(36, 13, 1) {
+		rings = append(rings, NewRing(13, q))
+	}
+	rings = append(rings, NewRing(12, GenerateNTTPrimes(61, 12, 1)[0]),
+		NewRing(12, GenerateNTTPrimes(50, 12, 1)[0]), NewRing(12, GenerateNTTPrimesUp(50, 12, 1)[0]))
 	for _, r := range rings {
 		s := NewSampler(303)
 		p := r.NewPoly()
@@ -217,46 +310,50 @@ func TestVectorTransformsMatchScalar(t *testing.T) {
 			{"NTTOnTheFly", func(q Poly) { r.NTTOnTheFlyWith(q, sc) }},
 		}
 		for _, tc := range cases {
-			SetSIMD(false)
+			setSIMDLevel(levelNone)
 			want := p.Copy()
 			tc.f(want)
-			SetSIMD(true)
-			got := p.Copy()
-			tc.f(got)
-			if !r.Equal(want, got) {
-				t.Errorf("logN=%d q=%d %s: vector and scalar transforms differ", r.LogN, r.Mod.Q, tc.name)
+			for lvl := levelAVX2; lvl <= hostLevel; lvl++ {
+				setSIMDLevel(lvl)
+				got := p.Copy()
+				tc.f(got)
+				if !r.Equal(want, got) {
+					t.Errorf("logN=%d q=%d %s at %s: vector and scalar transforms differ", r.LogN, r.Mod.Q, tc.name, levelNames[lvl])
+				}
 			}
 		}
 	}
 }
 
-// TestNTTLazySemantics pins the NTTLazy contract on whichever dispatch path
-// is active: outputs are in [0, 2q), their residues are exactly NTT's, and
-// the inverse transform restores the original polynomial bit for bit.
+// TestNTTLazySemantics pins the NTTLazy contract at every dispatch level:
+// outputs are in [0, 2q), their residues are exactly NTT's, and the inverse
+// transform restores the original polynomial bit for bit.
 func TestNTTLazySemantics(t *testing.T) {
-	for _, r := range testRings(t) {
-		q := r.Mod.Q
-		s := NewSampler(404)
-		p := r.NewPoly()
-		s.UniformPoly(r, p)
+	forEachLevel(t, func(t *testing.T) {
+		for _, r := range testRings(t) {
+			q := r.Mod.Q
+			s := NewSampler(404)
+			p := r.NewPoly()
+			s.UniformPoly(r, p)
 
-		canon := p.Copy()
-		r.NTT(canon)
-		lazy := p.Copy()
-		r.NTTLazy(lazy)
-		for i := range lazy {
-			if lazy[i] >= 2*q {
-				t.Fatalf("logN=%d q=%d: NTTLazy[%d]=%d outside [0, 2q)", r.LogN, q, i, lazy[i])
+			canon := p.Copy()
+			r.NTT(canon)
+			lazy := p.Copy()
+			r.NTTLazy(lazy)
+			for i := range lazy {
+				if lazy[i] >= 2*q {
+					t.Fatalf("logN=%d q=%d: NTTLazy[%d]=%d outside [0, 2q)", r.LogN, q, i, lazy[i])
+				}
+				if lazy[i]%q != canon[i] {
+					t.Fatalf("logN=%d q=%d: NTTLazy[%d]=%d has residue %d, NTT gives %d", r.LogN, q, i, lazy[i], lazy[i]%q, canon[i])
+				}
 			}
-			if lazy[i]%q != canon[i] {
-				t.Fatalf("logN=%d q=%d: NTTLazy[%d]=%d has residue %d, NTT gives %d", r.LogN, q, i, lazy[i], lazy[i]%q, canon[i])
+			r.INTT(lazy)
+			if !r.Equal(lazy, p) {
+				t.Errorf("logN=%d q=%d: INTT(NTTLazy(p)) != p", r.LogN, q)
 			}
 		}
-		r.INTT(lazy)
-		if !r.Equal(lazy, p) {
-			t.Errorf("logN=%d q=%d: INTT(NTTLazy(p)) != p", r.LogN, q)
-		}
-	}
+	})
 }
 
 // TestSetSIMDToggleConcurrent toggles the dispatch flag while workers hammer
@@ -312,10 +409,36 @@ func TestSetSIMDToggleConcurrent(t *testing.T) {
 // TestSIMDLevelConsistent pins the obs-facing level string to the dispatch
 // state on every build.
 func TestSIMDLevelConsistent(t *testing.T) {
-	if simdActive() && SIMDLevel() != "avx2" {
-		t.Fatalf("SIMD active but level = %q", SIMDLevel())
+	if simdActive() && SIMDLevel() != levelNames[hostLevel] {
+		t.Fatalf("SIMD active but level = %q, host supports %q", SIMDLevel(), levelNames[hostLevel])
 	}
 	if !simdActive() && SIMDLevel() != "none" {
 		t.Fatalf("SIMD inactive but level = %q", SIMDLevel())
+	}
+}
+
+// BenchmarkTransformLevels times the forward and inverse transform at the
+// paper ring (N=2^13, a 36-bit basis prime) at every dispatch level the
+// host supports: the per-kernel figures behind ring.ntt_us / ring.intt_us.
+func BenchmarkTransformLevels(b *testing.B) {
+	r := NewRing(13, GenerateNTTPrimes(36, 13, 1)[0])
+	p := r.NewPoly()
+	NewSampler(71).UniformPoly(r, p)
+	prev := activeLevel()
+	defer setSIMDLevel(prev)
+	for lvl := levelNone; lvl <= levelIFMA; lvl++ {
+		if !setSIMDLevel(lvl) {
+			continue
+		}
+		b.Run(levelNames[lvl]+"/NTT", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				r.NTT(p)
+			}
+		})
+		b.Run(levelNames[lvl]+"/INTT", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				r.INTT(p)
+			}
+		})
 	}
 }

@@ -155,3 +155,43 @@ func TestCoalescerCloseDrainsImmediately(t *testing.T) {
 		t.Fatal("a closed, drained coalescer must report done")
 	}
 }
+
+// TestCoalescerWakeupInCheckWaitWindow is the lost-wakeup regression: the
+// ripeness timer fires inside next's window between its ripeness check and
+// cond.Wait (the injected timer runs its callback right there, while next
+// holds the lock), and the wakeup must still reach the waiter.
+func TestCoalescerWakeupInCheckWaitWindow(t *testing.T) {
+	c := newCoalescer(time.Millisecond)
+	c.afterFunc = fireInWindow
+	c.add(&job{tenant: "a", id: 1})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		c.next()
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		c.close() // release the stranded next
+		t.Fatal("ripeness wakeup fired between the check and Wait was lost")
+	}
+}
+
+// fireInWindow stands in for time.AfterFunc: it runs f at once on another
+// goroutine — inside the caller's check-then-wait window, since the caller
+// holds its lock while arming — and gives f 50ms to return before letting
+// the caller go on to Wait. A callback that broadcasts without the lock
+// returns at once and its wakeup is lost; one that takes the lock blocks
+// until Wait releases it, then wakes the waiter.
+func fireInWindow(_ time.Duration, f func()) *time.Timer {
+	done := make(chan struct{})
+	go func() {
+		f()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(50 * time.Millisecond):
+	}
+	return time.NewTimer(time.Hour) // the caller stops it
+}

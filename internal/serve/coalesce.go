@@ -35,6 +35,9 @@ type coalescer struct {
 	order   []string // tenants with pending jobs, in first-arrival order
 	ripeAt  map[string]time.Time
 	closed  bool
+
+	// afterFunc arms the ripeness timer (time.AfterFunc; a test seam).
+	afterFunc func(time.Duration, func()) *time.Timer
 }
 
 func newCoalescer(window time.Duration) *coalescer {
@@ -42,6 +45,8 @@ func newCoalescer(window time.Duration) *coalescer {
 		window:  window,
 		pending: make(map[string][]*job),
 		ripeAt:  make(map[string]time.Time),
+
+		afterFunc: time.AfterFunc,
 	}
 	c.cond = sync.NewCond(&c.mu)
 	return c
@@ -80,7 +85,7 @@ func (c *coalescer) next() (jobs []*job, ok bool) {
 			}
 			// Not ripe yet: wake ourselves when it is. A late timer after
 			// the pool was already taken just broadcasts into the void.
-			t := time.AfterFunc(ripe.Sub(now), c.cond.Broadcast)
+			t := c.afterFunc(ripe.Sub(now), c.wake)
 			c.cond.Wait()
 			t.Stop()
 			continue
@@ -90,6 +95,17 @@ func (c *coalescer) next() (jobs []*job, ok bool) {
 		}
 		c.cond.Wait()
 	}
+}
+
+// wake is the ripeness timer's callback. It broadcasts under c.mu: next
+// arms the timer between its ripeness check and cond.Wait, and a Broadcast
+// landing in that window without the lock would find no waiter and be
+// lost, leaving the coalescer asleep on a ripe pool until the next add —
+// which a synchronous client, whose job is already pooled, never sends.
+func (c *coalescer) wake() {
+	c.mu.Lock()
+	c.cond.Broadcast()
+	c.mu.Unlock()
 }
 
 // close drains the coalescer: pending pools ripen immediately and next
