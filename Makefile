@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check vet race chaos fuzz fuzz-smoke fmt bench-smoke cover benchdiff benchdiff-soft bench-kernels bench-kernels-soft serve-smoke load-smoke purego simd-levels
+.PHONY: build test check vet race chaos fuzz fuzz-smoke fmt bench-smoke cover benchdiff benchdiff-soft bench-kernels bench-kernels-soft serve-smoke load-smoke contention purego simd-levels
 
 build:
 	$(GO) build ./...
@@ -76,13 +76,14 @@ benchdiff-soft:
 	@$(MAKE) benchdiff || echo "WARNING: benchdiff regression vs committed baseline (soft gate; not failing check)"
 
 # Modular-kernel trajectory gate: re-measure the per-prime kernel ablation
-# (scalar reduction chains, Shoup- vs Montgomery-twiddle NTT, fixed-shift vs
-# generic vector MAC) and compare the two vector-level figures against the
-# committed BENCH_kernels.json. Thresholds are generous because scalar-chain
-# and microsecond-scale timings are noisy on shared hosts; `check` runs the
-# soft wrapper for the same reason benchdiff is soft there. The vector
-# columns are measured at the host's best dispatch level (the record's
-# `isa`), so compare them only between hosts at the same level.
+# (scalar reduction chains, then the NTT, INTT and fixed-shift MAC with the
+# vector dispatch off and on) and compare the scalar NTT and MAC and the
+# three vector-level figures against the committed BENCH_kernels.json.
+# Thresholds are generous because scalar-chain and microsecond-scale
+# timings are noisy on shared hosts; `check` runs the soft wrapper for the
+# same reason benchdiff is soft there. The vector columns are measured at
+# the host's best dispatch level (the record's `isa`), so compare them only
+# between hosts at the same level.
 bench-kernels:
 	$(GO) run ./cmd/heapbench -benchjson /tmp/BENCH_kernels.json -kruns 2
 	$(GO) run ./cmd/benchdiff -metric ntt_shoup_us -max-regress 40 BENCH_kernels.json /tmp/BENCH_kernels.json
@@ -112,6 +113,13 @@ load-smoke:
 	$(GO) run ./cmd/heapbench -benchmode load -benchjson /tmp/BENCH_load_smoke.json -ldjobs 12 -ldworkers 1 -ldrates 200 -ldpatterns uniform,hotkey
 	$(GO) run ./cmd/benchdiff -metric closed_us_per_job -max-regress 150 BENCH_load.json /tmp/BENCH_load_smoke.json
 
+# Contention lane: the serving and load-harness suites three times over at
+# GOMAXPROCS 1 and 2, with a 5-minute bound. A lost wakeup or other hang in
+# the coalescer, admission or client paths fails here within minutes instead
+# of waiting out the 10-minute default test timeout.
+contention:
+	$(GO) test -count=3 -cpu 1,2 -timeout 5m ./internal/serve/ ./internal/load/
+
 # Per-package statement-coverage gate over the packages that carry the
 # correctness burden. Floors sit ~2 points under measured head (core 90.8%,
 # cluster 80.9%, rlwe 89.7%, serve 82.4%, load 88.2%) so the gate trips on
@@ -134,10 +142,11 @@ cover:
 # shared-key-switcher tests are the concurrency exercise), survive the
 # fault-injection suite, run every fuzz seed corpus, keep the hot kernels
 # allocation-free, prove the serving layer coalesces correctly and survives
-# overload with bounded queues, hold the coverage floors, and hold the
-# committed blind-rotate, service, and load-matrix trajectories (soft: warns
-# on regression), including the modular-kernel ablation trajectory.
-check: build vet purego simd-levels race chaos fuzz-smoke bench-smoke serve-smoke load-smoke cover benchdiff-soft bench-kernels-soft
+# overload with bounded queues, run the serving suites under contention,
+# hold the coverage floors, and hold the committed blind-rotate, service,
+# and load-matrix trajectories (soft: warns on regression), including the
+# modular-kernel ablation trajectory.
+check: build vet purego simd-levels race chaos fuzz-smoke bench-smoke serve-smoke load-smoke contention cover benchdiff-soft bench-kernels-soft
 
 # Short fuzz smoke over the wire-facing decoders; the committed corpora in
 # testdata/fuzz/ always run as part of plain `go test`.

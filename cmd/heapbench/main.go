@@ -26,10 +26,9 @@
 //	heapbench -benchjson BENCH_kernels.json
 //	                     # per-prime modular-kernel ablation over the committed
 //	                     # basis (generic Barrett vs fixed-shift Barrett vs
-//	                     # Montgomery vs Shoup scalar chains, plus the Shoup- vs
-//	                     # Montgomery-twiddle NTT and the generic vs fixed-shift
-//	                     # vector MAC at the paper ring); -kruns sets the timed
-//	                     # runs per point
+//	                     # Montgomery vs Shoup scalar chains, plus the NTT, INTT
+//	                     # and fixed-shift MAC at the paper ring, scalar and
+//	                     # vector); -kruns sets the timed runs per point
 //	heapbench -benchjson BENCH_load.json
 //	                     # closed-/open-loop scaling matrix through the full
 //	                     # serving stack (internal/load): a worker/executor
@@ -384,11 +383,9 @@ type kernelPrimeResult struct {
 
 // kernelsBenchResult is the JSON record runBenchKernels writes: the
 // per-prime scalar-chain table over the committed basis, basis-wide
-// averages, and the two vector-level figures the Makefile gate compares —
-// the Shoup-twiddle NTT (the default transform) and the fixed-shift Barrett
-// MAC (the basis-conversion/external-product inner loop), both at the paper
-// ring. The Montgomery-twiddle NTT and the generic-Barrett MAC ride along
-// as the ablation counterfactuals.
+// averages, and the figures the Makefile gate compares — the Shoup-twiddle
+// NTT and the fixed-shift Barrett MAC (the basis-conversion/external-product
+// inner loop), both at the paper ring.
 type kernelsBenchResult struct {
 	LogN              int                 `json:"logN"`
 	Limbs             int                 `json:"q_limbs"`
@@ -400,9 +397,7 @@ type kernelsBenchResult struct {
 	MontgomeryNsAvg   float64             `json:"montgomery_ns_avg"`
 	ShoupNsAvg        float64             `json:"shoup_ns_avg"`
 	NTTShoupUs        float64             `json:"ntt_shoup_us"`
-	NTTMontgomeryUs   float64             `json:"ntt_montgomery_us"`
 	INTTUs            float64             `json:"intt_us"`
-	MacGenericUs      float64             `json:"mac_generic_us"`
 	MacFixedUs        float64             `json:"mac_fixed_us"`
 	// Vector-dispatch tier: the same NTT and fixed-shift MAC with the vector
 	// kernels enabled at the best level the host supports (ISA names it;
@@ -442,10 +437,9 @@ func chainNs(runs, iters int, f func(iters int) uint64) float64 {
 // runBenchKernels measures the per-prime modular-kernel ablation over the
 // committed paper basis and writes it as JSON. Three tiers: (1) scalar
 // dependent-latency chains of the four reduction kernels at every modulus,
-// (2) the full logN=13 NTT under Shoup vs Montgomery twiddles (bit-identical
-// transforms — the delta is pure kernel choice), (3) the vector MAC
-// (MulCoeffsAndAdd's fixed-shift loop vs a generic two-word Barrett scalar
-// reference). The committed BENCH_kernels.json gates tiers 2 and 3 via
+// (2) the full logN=13 NTT and INTT and the MulCoeffsAndAdd MAC with the
+// vector dispatch forced off, (3) the same transforms and MAC at the best
+// vector level. The committed BENCH_kernels.json gates tiers 2 and 3 via
 // `make bench-kernels`; tier 1 is the explanatory table DESIGN.md cites.
 func runBenchKernels(path string, runs int) error {
 	if runs <= 0 {
@@ -504,10 +498,10 @@ func runBenchKernels(path string, runs int) error {
 	res.MontgomeryNsAvg /= np
 	res.ShoupNsAvg /= np
 
-	// Tier 2: the real transform at the paper ring, both twiddle modes.
-	// The scalar columns are measured with the vector dispatch forced off so
-	// they track the scalar kernels across PRs regardless of host ISA; the
-	// vector tier below re-enables it for the vector columns.
+	// Tier 2: the real transform and MAC at the paper ring. The scalar
+	// columns are measured with the vector dispatch forced off so they
+	// track the scalar kernels across PRs regardless of host ISA; tier 3
+	// re-enables it for the vector columns.
 	r := ring.NewRing(13, primes[0])
 	poly := r.NewPoly()
 	ring.NewSampler(71).UniformPoly(r, poly)
@@ -528,11 +522,9 @@ func runBenchKernels(path string, runs int) error {
 	hadSIMD := ring.SIMDLevel() != "none"
 	ring.SetSIMD(false)
 	res.NTTShoupUs = timeNTT(r.NTT)
-	res.NTTMontgomeryUs = timeNTT(r.NTTMontgomery)
 	res.INTTUs = timeNTT(r.INTT)
 
-	// Tier 3: the vector MAC — the open-coded fixed-shift loop inside
-	// MulCoeffsAndAdd against a generic two-word Barrett scalar reference.
+	// The MAC is the fixed-shift Barrett loop inside MulCoeffsAndAdd.
 	a, bb, acc := r.NewPoly(), r.NewPoly(), r.NewPoly()
 	s := ring.NewSampler(72)
 	s.UniformPoly(r, a)
@@ -552,21 +544,8 @@ func runBenchKernels(path string, runs int) error {
 		return best
 	}
 	res.MacFixedUs = timeMAC()
-	m := r.Mod
-	res.MacGenericUs = math.MaxFloat64
-	for run := 0; run < runs; run++ {
-		t0 := time.Now()
-		for i := 0; i < macReps; i++ {
-			for j := range acc {
-				acc[j] = m.AddMod(acc[j], m.MulModBarrett(a[j], bb[j]))
-			}
-		}
-		if d := float64(time.Since(t0).Microseconds()) / macReps; d < res.MacGenericUs {
-			res.MacGenericUs = d
-		}
-	}
 
-	// Tier 4: the vector-dispatch columns, same workloads with the vector
+	// Tier 3: the vector-dispatch columns, same workloads with the vector
 	// kernels back on.
 	if hadSIMD {
 		ring.SetSIMD(true)
@@ -588,8 +567,8 @@ func runBenchKernels(path string, runs int) error {
 	}
 	fmt.Printf("scalar avg over basis: Barrett %.1f ns, fixed Barrett %.1f ns, Montgomery %.1f ns, Shoup %.1f ns\n",
 		res.BarrettNsAvg, res.BarrettFixedNsAvg, res.MontgomeryNsAvg, res.ShoupNsAvg)
-	fmt.Printf("NTT (logN=13): Shoup %.1f us, Montgomery %.1f us, INTT %.1f us; MAC: fixed %.1f us, generic %.1f us\n",
-		res.NTTShoupUs, res.NTTMontgomeryUs, res.INTTUs, res.MacFixedUs, res.MacGenericUs)
+	fmt.Printf("NTT (logN=13): %.1f us, INTT %.1f us; MAC: fixed %.1f us\n",
+		res.NTTShoupUs, res.INTTUs, res.MacFixedUs)
 	if res.ISA != "none" {
 		fmt.Printf("%s: NTT %.1f us (%.2fx), INTT %.1f us (%.2fx), MAC %.1f us (%.2fx) -> %s\n",
 			res.ISA, res.NTTAvx2Us, res.NTTSIMDSpeedup, res.INTTAvx2Us, res.INTTSIMDSpeedup, res.MacAvx2Us, res.MacSIMDSpeedup, path)

@@ -450,309 +450,3 @@ func (r *Ring) NTTOnTheFlyWith(p Poly, sc *TwiddleScratch) {
 	}
 	r.nttWithTables(p, psi, psiShoup)
 }
-
-// NTTMontgomery is the forward transform with Montgomery-domain twiddle
-// tables: each butterfly multiplies by ψ·2^64 mod q through MRedLazy instead
-// of the Shoup pair. Same Harvey lazy-reduction discipline (coefficients in
-// [0, 4q) between stages, canonical sweep at the end), so the output is
-// bit-identical to NTT — the two modes differ only in which per-prime
-// constant form feeds the butterfly multiplier. Exposed so the §IV-A
-// reduction choice is measurable on the real transform, not just on scalar
-// chains; the default NTT keeps whichever mode the committed kernel
-// ablation shows faster. Driver split mirrors NTT, with the MRed butterfly
-// vectorized in nttFwdStepMontAVX2.
-func (r *Ring) NTTMontgomery(p Poly) {
-	if simdActive() {
-		r.nttMontVec(p)
-		return
-	}
-	q := r.Mod.Q
-	qInv := r.Mod.MRedQInv
-	twoQ := 2 * q
-	n := r.N
-	psi := r.psiTableMont
-	p = p[:n]
-	t := n
-	for m := 1; m < n>>1; m <<= 1 {
-		t >>= 1
-		for i := 0; i < m; i++ {
-			w := psi[m+i]
-			j1 := 2 * i * t
-			a := p[j1 : j1+t]
-			b := p[j1+t : j1+2*t]
-			b = b[:len(a)]
-			for j := range a {
-				u := a[j]
-				if u >= twoQ {
-					u -= twoQ
-				}
-				// v ← MRedLazy(b[j], w) ∈ [0, 2q), inlined.
-				hi, lo := bits.Mul64(b[j], w)
-				uu := lo * qInv
-				h, _ := bits.Mul64(uu, q)
-				v := hi + h
-				if lo != 0 {
-					v++
-				}
-				a[j] = u + v
-				b[j] = u + twoQ - v
-			}
-		}
-	}
-	nttFwdLastMontScalar(p, psi, q, qInv)
-}
-
-// nttMontVec is the Montgomery-twiddle forward pass with the AVX2 stage
-// kernels (see NTTMontgomery).
-func (r *Ring) nttMontVec(p Poly) {
-	q := r.Mod.Q
-	qInv := r.Mod.MRedQInv
-	n := r.N
-	psi := r.psiTableMont
-	p = p[:n]
-	t := n
-	for m := 1; m < n>>1; m <<= 1 {
-		t >>= 1
-		if t >= 4 {
-			nttFwdStepMontAVX2(p, psi, q, qInv, m, t)
-		} else {
-			nttFwdStepMontScalar(p, psi, q, qInv, m, t)
-		}
-	}
-	nttFwdLastMontScalar(p, psi, q, qInv)
-}
-
-// nttFwdStepMontScalar is the Montgomery-twiddle counterpart of
-// nttFwdStepScalar; reference semantics for nttFwdStepMontAVX2, inlined by
-// the scalar NTTMontgomery (keep in sync).
-func nttFwdStepMontScalar(p Poly, psi []uint64, q, qInv uint64, m, t int) {
-	twoQ := 2 * q
-	for i := 0; i < m; i++ {
-		w := psi[m+i]
-		j1 := 2 * i * t
-		a := p[j1 : j1+t]
-		b := p[j1+t : j1+2*t]
-		b = b[:len(a)]
-		for j := range a {
-			u := a[j]
-			if u >= twoQ {
-				u -= twoQ
-			}
-			// v ← MRedLazy(b[j], w) ∈ [0, 2q), inlined.
-			hi, lo := bits.Mul64(b[j], w)
-			uu := lo * qInv
-			h, _ := bits.Mul64(uu, q)
-			v := hi + h
-			if lo != 0 {
-				v++
-			}
-			a[j] = u + v
-			b[j] = u + twoQ - v
-		}
-	}
-}
-
-// nttFwdLastMontScalar is the open-coded fused last stage of NTTMontgomery,
-// mirroring nttFwdLastScalar so the committed ablation compares the twiddle
-// kernel, not the loop structure.
-func nttFwdLastMontScalar(p Poly, psi []uint64, q, qInv uint64) {
-	twoQ := 2 * q
-	n := len(p)
-	if n == 1 {
-		c := p[0]
-		if c >= twoQ {
-			c -= twoQ
-		}
-		if c >= q {
-			c -= q
-		}
-		p[0] = c
-		return
-	}
-	m := n >> 1
-	for i := 0; i < m; i++ {
-		w := psi[m+i]
-		u := p[2*i]
-		if u >= twoQ {
-			u -= twoQ
-		}
-		hi, lo := bits.Mul64(p[2*i+1], w)
-		uu := lo * qInv
-		h, _ := bits.Mul64(uu, q)
-		v := hi + h
-		if lo != 0 {
-			v++
-		}
-		x := u + v
-		if x >= twoQ {
-			x -= twoQ
-		}
-		if x >= q {
-			x -= q
-		}
-		y := u + twoQ - v
-		if y >= twoQ {
-			y -= twoQ
-		}
-		if y >= q {
-			y -= q
-		}
-		p[2*i] = x
-		p[2*i+1] = y
-	}
-}
-
-// INTTMontgomery is the inverse transform in the Montgomery twiddle mode;
-// bit-identical to INTT (see NTTMontgomery).
-func (r *Ring) INTTMontgomery(p Poly) {
-	if simdActive() {
-		r.inttMontVec(p)
-		return
-	}
-	q := r.Mod.Q
-	qInv := r.Mod.MRedQInv
-	twoQ := 2 * q
-	n := r.N
-	psiInv := r.psiInvTableMont
-	p = p[:n]
-	t := 1
-	if n >= 2 {
-		// First stage (t=1, h=n/2), open-coded (see INTT).
-		h := n >> 1
-		for i := 0; i < h; i++ {
-			w := psiInv[h+i]
-			u := p[2*i]
-			v := p[2*i+1]
-			c := u + v
-			if c >= twoQ {
-				c -= twoQ
-			}
-			p[2*i] = c
-			d := u + twoQ - v
-			hi, lo := bits.Mul64(d, w)
-			uu := lo * qInv
-			hh, _ := bits.Mul64(uu, q)
-			e := hi + hh
-			if lo != 0 {
-				e++
-			}
-			p[2*i+1] = e
-		}
-		t = 2
-	}
-	for m := n >> 1; m > 1; m >>= 1 {
-		h := m >> 1
-		j1 := 0
-		for i := 0; i < h; i++ {
-			w := psiInv[h+i]
-			a := p[j1 : j1+t]
-			b := p[j1+t : j1+2*t]
-			b = b[:len(a)]
-			for j := range a {
-				u := a[j]
-				v := b[j]
-				c := u + v
-				if c >= twoQ {
-					c -= twoQ
-				}
-				a[j] = c
-				d := u + twoQ - v
-				hi, lo := bits.Mul64(d, w)
-				uu := lo * qInv
-				hh, _ := bits.Mul64(uu, q)
-				e := hi + hh
-				if lo != 0 {
-					e++
-				}
-				b[j] = e
-			}
-			j1 += 2 * t
-		}
-		t <<= 1
-	}
-	r.nInvSweep(p)
-}
-
-// inttMontVec is the Montgomery-twiddle inverse pass with the AVX2 stage
-// kernels (see INTTMontgomery).
-func (r *Ring) inttMontVec(p Poly) {
-	q := r.Mod.Q
-	qInv := r.Mod.MRedQInv
-	n := r.N
-	psiInv := r.psiInvTableMont
-	p = p[:n]
-	t := 1
-	if n >= 2 {
-		nttInvFirstMontScalar(p, psiInv, q, qInv)
-		t = 2
-	}
-	for m := n >> 1; m > 1; m >>= 1 {
-		h := m >> 1
-		if t >= 4 {
-			nttInvStepMontAVX2(p, psiInv, q, qInv, h, t)
-		} else {
-			nttInvStepMontScalar(p, psiInv, q, qInv, h, t)
-		}
-		t <<= 1
-	}
-	r.nInvSweep(p)
-}
-
-// nttInvFirstMontScalar is the open-coded first inverse stage in the
-// Montgomery twiddle mode (see nttInvFirstScalar).
-func nttInvFirstMontScalar(p Poly, psiInv []uint64, q, qInv uint64) {
-	twoQ := 2 * q
-	h := len(p) >> 1
-	for i := 0; i < h; i++ {
-		w := psiInv[h+i]
-		u := p[2*i]
-		v := p[2*i+1]
-		c := u + v
-		if c >= twoQ {
-			c -= twoQ
-		}
-		p[2*i] = c
-		d := u + twoQ - v
-		hi, lo := bits.Mul64(d, w)
-		uu := lo * qInv
-		hh, _ := bits.Mul64(uu, q)
-		e := hi + hh
-		if lo != 0 {
-			e++
-		}
-		p[2*i+1] = e
-	}
-}
-
-// nttInvStepMontScalar is the Montgomery-twiddle counterpart of
-// nttInvStepScalar; reference semantics for nttInvStepMontAVX2, inlined by
-// the scalar INTTMontgomery (keep in sync).
-func nttInvStepMontScalar(p Poly, psiInv []uint64, q, qInv uint64, h, t int) {
-	twoQ := 2 * q
-	j1 := 0
-	for i := 0; i < h; i++ {
-		w := psiInv[h+i]
-		a := p[j1 : j1+t]
-		b := p[j1+t : j1+2*t]
-		b = b[:len(a)]
-		for j := range a {
-			u := a[j]
-			v := b[j]
-			c := u + v
-			if c >= twoQ {
-				c -= twoQ
-			}
-			a[j] = c
-			d := u + twoQ - v
-			hi, lo := bits.Mul64(d, w)
-			uu := lo * qInv
-			hh, _ := bits.Mul64(uu, q)
-			e := hi + hh
-			if lo != 0 {
-				e++
-			}
-			b[j] = e
-		}
-		j1 += 2 * t
-	}
-}

@@ -173,12 +173,6 @@ func nttInvT2IFMA(p []uint64, tw, twShoup []uint64, q uint64)
 func nttInvFirstIFMA(p []uint64, tw, twShoup []uint64, q uint64)
 
 //go:noescape
-func nttFwdStepMontAVX2(p []uint64, psiMont []uint64, q, qInv uint64, m, t int)
-
-//go:noescape
-func nttInvStepMontAVX2(p []uint64, psiInvMont []uint64, q, qInv uint64, h, t int)
-
-//go:noescape
 func mulCoeffsBarrettAVX2(out, a, b []uint64, q, mu uint64, shift uint)
 
 //go:noescape

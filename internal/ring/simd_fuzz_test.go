@@ -36,7 +36,8 @@ func fuzzPrimes() []uint64 {
 func FuzzVectorVsScalarKernels(f *testing.F) {
 	// Seed corpus: each kernel class at the tail-machinery lengths (1,
 	// width-1, width, width+1, two groups) with and without aliasing; the
-	// committed files under testdata/fuzz mirror these.
+	// committed files under testdata/fuzz mirror these. Classes 6-10 all
+	// draw from the stage-kernel table.
 	for kernel := uint8(0); kernel < 10; kernel++ {
 		f.Add(uint64(1), uint8(0), kernel, uint8(1), false)
 		f.Add(uint64(2), uint8(3), kernel, uint8(3), false)
@@ -44,9 +45,9 @@ func FuzzVectorVsScalarKernels(f *testing.F) {
 		f.Add(uint64(4), uint8(7), kernel, uint8(5), true)
 		f.Add(uint64(5), uint8(8), kernel, uint8(8), false)
 	}
-	// Class 10 (the stage-kernel table: edge and IFMA kernels): every
-	// degree 16..256, a 36-bit basis prime and the IFMA boundary primes,
-	// with the high seed word spreading the kernel choice.
+	// The stage-kernel table: every degree 16..256, a 36-bit basis prime
+	// and the IFMA boundary primes, with the high seed word spreading the
+	// kernel choice.
 	for length := uint8(0); length < 5; length++ {
 		f.Add(uint64(length)<<32|6, uint8(0), uint8(10), length, false)
 		f.Add(uint64(length+7)<<32|7, uint8(10), uint8(10), length, false)
@@ -124,9 +125,9 @@ func FuzzVectorVsScalarKernels(f *testing.F) {
 			runBoth(func(p, a, b, out Poly) { r.Add(a, b, out) }, int(length), q, q)
 		case 5:
 			runBoth(func(p, a, b, out Poly) { r.Sub(a, b, out) }, int(length), q, q)
-		case 10:
-			// Stage-kernel table: one fuzz-chosen kernel (edge stages, IFMA
-			// stages) at degree 16..256 against its scalar reference.
+		case 6, 7, 8, 9, 10:
+			// Stage-kernel table: one fuzz-chosen kernel (generic, edge and
+			// IFMA stages) at degree 16..256 against its scalar reference.
 			n := 16 << (int(length) % 5)
 			psi, psiShoup := randomTwiddles(rng, mod, n)
 			ks := stageKernels(q, n, psi, psiShoup)
@@ -139,64 +140,7 @@ func FuzzVectorVsScalarKernels(f *testing.F) {
 				}
 			}, n, k.bound, q)
 		default:
-			// NTT stage kernels: degree 8..256, one fuzz-chosen stage with
-			// t >= 4, twiddle-like tables (canonical, consistent companions).
-			logN := 3 + int(length)%6
-			n := 1 << logN
-			psi := make([]uint64, n)
-			psiShoup := make([]uint64, n)
-			for i := range psi {
-				psi[i] = rng.Uint64() % q
-				psiShoup[i] = mod.ShoupPrecomp(psi[i])
-			}
-			// Enumerate vectorizable stages, pick one from the seed.
-			type stage struct{ m, t int }
-			var stages []stage
-			st := n
-			for m := 1; m < n>>1; m <<= 1 {
-				st >>= 1
-				if st >= 4 {
-					stages = append(stages, stage{m, st})
-				}
-			}
-			if len(stages) == 0 {
-				return
-			}
-			sel := stages[int(seed>>32)%len(stages)]
-			switch kernel % 10 {
-			case 6:
-				runBoth(func(p, a, b, out Poly) {
-					if simdActive() {
-						nttFwdStepAVX2(p, psi, psiShoup, q, sel.m, sel.t)
-					} else {
-						nttFwdStepScalar(p, psi, psiShoup, q, sel.m, sel.t)
-					}
-				}, n, 4*q, q)
-			case 7:
-				runBoth(func(p, a, b, out Poly) {
-					if simdActive() {
-						nttInvStepAVX2(p, psi, psiShoup, q, sel.m, sel.t)
-					} else {
-						nttInvStepScalar(p, psi, psiShoup, q, sel.m, sel.t)
-					}
-				}, n, 2*q, q)
-			case 8:
-				runBoth(func(p, a, b, out Poly) {
-					if simdActive() {
-						nttFwdStepMontAVX2(p, psi, q, mod.MRedQInv, sel.m, sel.t)
-					} else {
-						nttFwdStepMontScalar(p, psi, q, mod.MRedQInv, sel.m, sel.t)
-					}
-				}, n, 4*q, q)
-			case 9:
-				runBoth(func(p, a, b, out Poly) {
-					if simdActive() {
-						nttInvStepMontAVX2(p, psi, q, mod.MRedQInv, sel.m, sel.t)
-					} else {
-						nttInvStepMontScalar(p, psi, q, mod.MRedQInv, sel.m, sel.t)
-					}
-				}, n, 2*q, q)
-			}
+			t.Fatalf("kernel byte %d maps to no kernel class", kernel)
 		}
 	})
 }

@@ -59,12 +59,6 @@ func nttInvT2IFMA(p []uint64, tw, twShoup []uint64, q uint64) { unreachableSIMD(
 
 func nttInvFirstIFMA(p []uint64, tw, twShoup []uint64, q uint64) { unreachableSIMD() }
 
-func nttFwdStepMontAVX2(p []uint64, psiMont []uint64, q, qInv uint64, m, t int) { unreachableSIMD() }
-
-func nttInvStepMontAVX2(p []uint64, psiInvMont []uint64, q, qInv uint64, h, t int) {
-	unreachableSIMD()
-}
-
 func mulCoeffsBarrettAVX2(out, a, b []uint64, q, mu uint64, shift uint) { unreachableSIMD() }
 
 func mulCoeffsAndAddBarrettAVX2(out, a, b []uint64, q, mu uint64, shift uint) { unreachableSIMD() }

@@ -231,20 +231,7 @@ func TestVectorNTTStageKernelsMatchScalar(t *testing.T) {
 		mod := NewModulus(q)
 		for _, n := range []int{16, 32, 256} {
 			psi, psiShoup := randomTwiddles(rng, mod, n)
-			ks := stageKernels(q, n, psi, psiShoup)
-			// The Montgomery-twiddle AVX2 stages, with psi doubling as the
-			// Montgomery-domain table (the kernels need only w < q).
-			for t := n / 2; t >= 4; t >>= 1 {
-				m := n / (2 * t)
-				ks = append(ks,
-					stageKernel{fmt.Sprintf("fwdStepMontAVX2/t=%d", t), levelAVX2, 4 * q,
-						func(p Poly) { nttFwdStepMontAVX2(p, psi, q, mod.MRedQInv, m, t) },
-						func(p Poly) { nttFwdStepMontScalar(p, psi, q, mod.MRedQInv, m, t) }},
-					stageKernel{fmt.Sprintf("invStepMontAVX2/t=%d", t), levelAVX2, 2 * q,
-						func(p Poly) { nttInvStepMontAVX2(p, psi, q, mod.MRedQInv, m, t) },
-						func(p Poly) { nttInvStepMontScalar(p, psi, q, mod.MRedQInv, m, t) }})
-			}
-			for _, k := range ks {
+			for _, k := range stageKernels(q, n, psi, psiShoup) {
 				if k.level > hostLevel {
 					continue
 				}
@@ -305,8 +292,6 @@ func TestVectorTransformsMatchScalar(t *testing.T) {
 			{"NTT", r.NTT},
 			{"NTTLazy", r.NTTLazy},
 			{"INTT", r.INTT},
-			{"NTTMontgomery", r.NTTMontgomery},
-			{"INTTMontgomery", r.INTTMontgomery},
 			{"NTTOnTheFly", func(q Poly) { r.NTTOnTheFlyWith(q, sc) }},
 		}
 		for _, tc := range cases {
